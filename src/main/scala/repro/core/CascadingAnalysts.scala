@@ -17,6 +17,13 @@ package repro.core
   * allocations over the O(n²) segments of the pipeline. Instances are NOT
   * thread-safe — create one per thread/task.
   *
+  * The three-argument [[topIds]] solves the same problem on the sub-cube
+  * spanned by a set of explanations and their in-cube drill-down ancestors
+  * (optimization O1). The sub-cube is an active mask over this cube's ids,
+  * stamped with its own version counter, so it shares the memo and the
+  * drill-down tree: `solve` and `backtrack` skip inactive children, which is
+  * the same knapsack, in the same order, as on a separately built sub-cube.
+  *
   * @param cube     explanation cube with γ/τ lookups and drill-down adjacency
   * @param m        explanation quota (paper default 3)
   * @param maxOrder order threshold β̄ (paper default 3)
@@ -31,6 +38,17 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   private val stamp = new Array[Int](eps + 1)
   private var version = 0
   private var seg: Segment = _
+  // kids(id + 1) = cube.children(id) as one child array per attribute, in
+  // the map's iteration order, so the DP loops neither box nor look up ids.
+  private val kids: Array[Array[Array[Int]]] = Array.tabulate(eps + 1) { slot =>
+    cube.children.get(slot - 1).fold(Array.empty[Array[Int]])(_.valuesIterator.toArray)
+  }
+  // activeStamp(id) == activeVersion marks id active while `restricted`.
+  private val activeStamp = new Array[Int](eps)
+  private var activeVersion = 0
+  private var restricted = false
+
+  private def active(id: Int): Boolean = !restricted || activeStamp(id) == activeVersion
 
   private def solve(id: Int): Array[Double] = {
     val slot = id + 1
@@ -47,11 +65,14 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     // Option 2: drill down on one remaining attribute; knapsack the quota
     // over that attribute's children.
     if (order < maxOrder) {
-      cube.children.get(id).foreach { byAttr =>
-        byAttr.foreach { case (_, childIds) =>
-          val cur = new Array[Double](m + 1)
-          var ci = 0
-          while (ci < childIds.length) {
+      val byAttr = kids(slot)
+      var a = 0
+      while (a < byAttr.length) {
+        val childIds = byAttr(a)
+        val cur = new Array[Double](m + 1)
+        var ci = 0
+        while (ci < childIds.length) {
+          if (active(childIds(ci))) {
             val child = solve(childIds(ci))
             var q = m
             while (q >= 1) {
@@ -65,11 +86,12 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
               cur(q) = best
               q -= 1
             }
-            ci += 1
           }
-          var q = 1
-          while (q <= m) { if (cur(q) > out(q)) out(q) = cur(q); q += 1 }
+          ci += 1
         }
+        var q = 1
+        while (q <= m) { if (cur(q) > out(q)) out(q) = cur(q); q += 1 }
+        a += 1
       }
     }
     // At-most semantics: scores are nondecreasing in q.
@@ -90,36 +112,50 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     if (id >= 0 && cube.gamma(id, seg) == target) { out += id; return }
     val order = if (id < 0) 0 else cube.expls(id).order
     if (order < maxOrder) {
-      for (byAttr <- cube.children.get(id); (_, childIds) <- byAttr) {
-        // Recompute this attribute's knapsack with backtrack pointers.
-        val rows = Array.fill(childIds.length + 1)(new Array[Double](q + 1))
-        val take = Array.fill(childIds.length + 1)(new Array[Int](q + 1))
+      val byAttr = kids(id + 1)
+      var a = 0
+      while (a < byAttr.length) {
+        val childIds = byAttr(a)
+        // Recompute this attribute's knapsack with backtrack pointers; an
+        // inactive child takes no quota (its row is the previous one).
+        val rows = new Array[Array[Double]](childIds.length + 1)
+        val take = new Array[Array[Int]](childIds.length + 1)
+        rows(0) = new Array[Double](q + 1)
         var ci = 0
         while (ci < childIds.length) {
-          val child = solve(childIds(ci))
-          var w = 0
-          while (w <= q) {
-            var best = rows(ci)(w); var bw = 0
-            var u = 1
-            while (u <= w) {
-              val v = rows(ci)(w - u) + child(u)
-              if (v > best) { best = v; bw = u }
-              u += 1
+          if (!active(childIds(ci))) rows(ci + 1) = rows(ci)
+          else {
+            val child = solve(childIds(ci))
+            rows(ci + 1) = new Array[Double](q + 1)
+            take(ci + 1) = new Array[Int](q + 1)
+            var w = 0
+            while (w <= q) {
+              var best = rows(ci)(w); var bw = 0
+              var u = 1
+              while (u <= w) {
+                val v = rows(ci)(w - u) + child(u)
+                if (v > best) { best = v; bw = u }
+                u += 1
+              }
+              rows(ci + 1)(w) = best; take(ci + 1)(w) = bw
+              w += 1
             }
-            rows(ci + 1)(w) = best; take(ci + 1)(w) = bw
-            w += 1
           }
           ci += 1
         }
         if (rows(childIds.length)(q) == target) {
           var w = q; ci = childIds.length
           while (ci > 0) {
-            val u = take(ci)(w)
-            if (u > 0) backtrack(childIds(ci - 1), u, out)
-            w -= u; ci -= 1
+            if (take(ci) != null) {
+              val u = take(ci)(w)
+              if (u > 0) backtrack(childIds(ci - 1), u, out)
+              w -= u
+            }
+            ci -= 1
           }
           return
         }
+        a += 1
       }
     }
     throw new IllegalStateException(s"backtrack failed at ctx=$id q=$q target=$target")
@@ -129,6 +165,31 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     * γ descending, with the Best[0..m] score vector (Definition 3.5 / Eq. 12).
     */
   def topIds(segment: Segment): TopIds = {
+    restricted = false
+    solveTop(segment)
+  }
+
+  /** [[topIds]] on the sub-cube of the first `count` ids of `within` plus
+    * their in-cube drill-down ancestors (Section 5.3.1): the ids returned
+    * are this cube's, and Best[0..m] is the sub-cube optimum.
+    */
+  def topIds(segment: Segment, within: Array[Int], count: Int): TopIds = {
+    activeVersion += 1
+    val ancestors = cube.ancestorIds
+    var k = 0
+    while (k < count) {
+      val id = within(k)
+      activeStamp(id) = activeVersion
+      val anc = ancestors(id)
+      var a = 0
+      while (a < anc.length) { activeStamp(anc(a)) = activeVersion; a += 1 }
+      k += 1
+    }
+    restricted = true
+    solveTop(segment)
+  }
+
+  private def solveTop(segment: Segment): TopIds = {
     seg = segment
     version += 1
     val best = solve(-1).clone()

@@ -61,6 +61,13 @@ final class ExplCube(
     buf.iterator.map { case (pid, m) => pid -> m.iterator.map { case (a, b) => a -> b.toArray }.toMap }.toMap
   }
 
+  /** ancestorIds(id) = ids of the explanation's strict sub-conjunctions of
+    * order ≥ 1 present in the cube: what must stay reachable above `id` in
+    * the drill-down tree when a solve is restricted to a set of ids.
+    */
+  lazy val ancestorIds: Array[Array[Int]] =
+    expls.iterator.map(_.ancestors.iterator.filter(_.order > 0).flatMap(index.get).toArray).toArray
+
   /** Support filter (§7.5.1): drop E when every point of its series is below
     * `ratio` of the overall series (absolute values). Returns a new cube.
     */

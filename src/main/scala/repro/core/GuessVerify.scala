@@ -15,6 +15,11 @@ package repro.core
   * the condition holds the restricted answer is globally optimal. On failure
   * m̄ doubles (Figure 9); at m̄ ≥ ε the run is the unrestricted CA and
   * trivially optimal. Results therefore always match the vanilla CA's score.
+  *
+  * Every guess, and the unrestricted run, goes through one
+  * [[CascadingAnalysts]] instance on the parent cube: a guess is an active
+  * mask over the cube's ids, so it builds no sub-cube and no fresh memo, and
+  * the returned ids are the parent cube's. Not thread-safe, like the CA.
   */
 final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m0: Int = -1) {
   private val initialMBar = if (m0 > 0) m0 else 10 * m
@@ -25,8 +30,21 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
   /** Largest m̄ any segment needed (diagnostics). */
   var maxMBarUsed: Int = 0
 
-  private val fullCA = new CascadingAnalysts(cube, m, maxOrder)
+  private val ca = new CascadingAnalysts(cube, m, maxOrder)
   private val gammas = new Array[Double](eps)
+  // the series time-major, so a segment's ε γ values read two rows instead
+  // of two scattered points of every series
+  private val byTime: Array[Array[Double]] = {
+    val rows = Array.ofDim[Double](cube.n, eps)
+    var id = 0
+    while (id < eps) {
+      val s = cube.series(id)
+      var t = 0
+      while (t < s.length) { rows(t)(id) = s(t); t += 1 }
+      id += 1
+    }
+    rows
+  }
 
   /** Top-`k` explanation ids by γ, descending — bounded min-heap selection
     * so a segment costs O(ε log k), not a full ε log ε sort.
@@ -45,14 +63,14 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
         c = p
       }
     }
-    def siftDown(): Unit = {
+    def siftDown(len: Int): Unit = {
       var c = 0
       var done = false
       while (!done) {
         val l = 2 * c + 1; val r = 2 * c + 2
         var s = c
-        if (l < size && hg(l) < hg(s)) s = l
-        if (r < size && hg(r) < hg(s)) s = r
+        if (l < len && hg(l) < hg(s)) s = l
+        if (r < len && hg(r) < hg(s)) s = r
         if (s == c) done = true
         else {
           val tg = hg(s); hg(s) = hg(c); hg(c) = tg
@@ -65,73 +83,56 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
     while (id < eps) {
       val g = gammas(id)
       if (size < cap) { hg(size) = g; hi(size) = id; size += 1; siftUp(size - 1) }
-      else if (g > hg(0)) { hg(0) = g; hi(0) = id; siftDown() }
+      else if (g > hg(0)) { hg(0) = g; hi(0) = id; siftDown(size) }
       id += 1
     }
-    // extract ascending, reverse to descending
+    // pop the minimum into the last free slot: descending order
     val out = new Array[Int](size)
     var s = size
     while (s > 0) {
       out(s - 1) = hi(0)
       s -= 1
-      hg(0) = hg(s); hi(0) = hi(s); size = s
-      siftDown()
+      hg(0) = hg(s); hi(0) = hi(s)
+      siftDown(s)
     }
-    out.sortBy(i => -gammas(i)) // heap extraction already sorts; keep as safety for ties
+    out
   }
 
-  /** Restricted cube over `activeIds` ∪ their in-cube ancestors; returns the
-    * sub-cube plus the mapping from sub-cube ids back to original ids.
+  /** Eq. 12 over the γ-sorted tail beyond rank m̄. Each side is a sum of at
+    * most m γ values, added in different orders, so the sides are compared
+    * with a slack of 2m units in the last place of the bound: rounding noise
+    * at the segment's own magnitude, whatever the measure's scale.
     */
-  private def subCube(activeIds: Array[Int]): (ExplCube, Array[Int]) = {
-    val keep = scala.collection.mutable.SortedSet.empty[Int]
-    activeIds.foreach(keep += _)
-    for (id <- activeIds; anc <- cube.expls(id).ancestors if anc.order > 0)
-      if (cube.contains(anc)) keep += cube.idOf(anc)
-    val ids = keep.toArray
-    val sub = new ExplCube(cube.attrs, cube.times, cube.total,
-      ids.toVector.map(cube.expls), ids.map(cube.series))
-    (sub, ids)
+  private def certified(best: Array[Double], order: Array[Int], mBar: Int): Boolean = {
+    var tailSum = 0.0
+    var mp = m - 1
+    while (mp >= 0) {
+      val tailRank = mBar + (m - 1 - mp)
+      if (tailRank < order.length) tailSum += gammas(order(tailRank))
+      val bound = best(mp) + tailSum
+      if (best(m) + 2 * m * math.ulp(bound) < bound) return false
+      mp -= 1
+    }
+    true
   }
-
-  // With few candidates the guess cannot pay for its per-segment set-up
-  // (sub-cube build + fresh memo); delegate to the shared memoized CA.
-  // An explicit m0 (tests) disables the short-circuit.
-  private val shortCircuit = m0 <= 0 && eps <= math.max(200, 4 * initialMBar)
 
   /** Top-m via guess-and-verify; equal (in score) to the vanilla CA. */
   def topIds(seg: Segment): TopIds = {
-    if (shortCircuit) {
-      caRuns += 1
-      maxMBarUsed = math.max(maxMBarUsed, eps)
-      return fullCA.topIds(seg)
-    }
+    val from = byTime(seg.i); val to = byTime(seg.j) // γ as in cube.gamma
     var id = 0
-    while (id < eps) { gammas(id) = cube.gamma(id, seg); id += 1 }
+    while (id < eps) { gammas(id) = math.abs(to(id) - from(id)); id += 1 }
     var mBar = math.min(initialMBar, eps)
     while (true) {
+      caRuns += 1
       if (mBar >= eps) {
-        caRuns += 1
         maxMBarUsed = math.max(maxMBarUsed, eps)
-        return fullCA.topIds(seg)
+        return ca.topIds(seg)
       }
       val order = topByGamma(mBar + m) // m̄ actives + the certificate tail
-      val (sub, back) = subCube(order.take(mBar))
-      caRuns += 1
-      val res = new CascadingAnalysts(sub, m, maxOrder).topIds(seg)
-      // Eq. 12 certificate over the γ-sorted tail beyond rank m̄.
-      var ok = true
-      var tailSum = 0.0
-      var mp = m - 1
-      while (mp >= 0 && ok) {
-        val tailRank = mBar + (m - 1 - mp)
-        tailSum += (if (tailRank < order.length) gammas(order(tailRank)) else 0.0)
-        if (res.best(m) + 1e-9 < res.best(mp) + tailSum) ok = false
-        mp -= 1
-      }
-      if (ok) {
+      val res = ca.topIds(seg, order, mBar)
+      if (certified(res.best, order, mBar)) {
         maxMBarUsed = math.max(maxMBarUsed, mBar)
-        return TopIds(res.ids.map(back), res.gammas, res.taus, res.best)
+        return res
       }
       mBar = math.min(mBar * 2, eps)
     }

@@ -131,7 +131,16 @@ object KSegmentation {
     val np = p.length
     val kCap = math.min(kMax, np - 1)
     require(kCap >= 1, "need at least one segment")
-    val lenOk: (Int, Int) => Boolean = (i, j) => maxSegLen.forall(l => p(j) - p(i) <= l)
+    // lo(a) = first index b with p(a) − p(b) ≤ maxSegLen: the admissible
+    // predecessors of a are exactly lo(a) until a, since p is increasing.
+    val lo: Array[Int] = maxSegLen match {
+      case None => new Array[Int](np)
+      case Some(l) =>
+        Array.tabulate(np) { a =>
+          val r = java.util.Arrays.binarySearch(p, p(a) - l)
+          if (r >= 0) r else -r - 1
+        }
+    }
 
     val inf = Double.PositiveInfinity
     // d(k)(a): min total weighted variance covering [p(0), p(a)] with k segments.
@@ -139,18 +148,18 @@ object KSegmentation {
     val from = Array.fill(kCap + 1)(Array.fill(np)(-1))
     var a = 1
     while (a < np) {
-      if (lenOk(0, a)) { d(1)(a) = cost(p(0), p(a)); from(1)(a) = 0 }
+      if (lo(a) == 0) { d(1)(a) = cost(p(0), p(a)); from(1)(a) = 0 }
       a += 1
     }
     var k = 2
     while (k <= kCap) {
       a = k // need at least k segments worth of positions before p(a)
       while (a < np) {
-        var b = k - 1
+        var b = math.max(k - 1, lo(a))
         var best = inf
         var arg = -1
         while (b < a) {
-          if (lenOk(b, a) && d(k - 1)(b) < inf) {
+          if (d(k - 1)(b) < inf) {
             val v = d(k - 1)(b) + cost(p(b), p(a))
             if (v < best) { best = v; arg = b }
           }

@@ -48,6 +48,21 @@ class SynthDataSpec extends SparkSpec {
       "orders" -> ord.select("o_orderkey", "o_orderstatus"))
   }
 
+  test("the oracle's float tolerance still rejects a one-cent difference in a large sum") {
+    val q = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
+      .groupBy("o_orderstatus")
+      .agg(sum("l_extendedprice").as("rev"))
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        q,
+        "SELECT o_orderstatus, SUM(CAST(l_extendedprice AS DOUBLE)) + 0.01 AS rev " +
+          "FROM lineitem l JOIN orders o ON CAST(l.l_orderkey AS BIGINT) = CAST(o.o_orderkey AS BIGINT) " +
+          "GROUP BY o_orderstatus",
+        "lineitem" -> li.select("l_orderkey", "l_extendedprice"),
+        "orders" -> ord.select("o_orderkey", "o_orderstatus"))
+    }
+  }
+
   test("time-grouped aggregation (the TSExplain query shape) matches DuckDB") {
     val q = li.groupBy(month(col("l_shipdate")).as("mo")).agg(sum("l_quantity").as("sq"))
     Oracle.assertEquivalent(

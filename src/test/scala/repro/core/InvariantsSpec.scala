@@ -91,7 +91,7 @@ class InvariantsSpec extends AnyFunSuite {
     }
   }
 
-  test("guess-verify with default settings equals full CA on small cubes (short-circuit)") {
+  test("guess-verify with default settings equals full CA on small cubes") {
     val rnd = new Random(9)
     val c = randomCube(rnd, 5)
     val gv = new GuessVerify(c, 3)

@@ -94,6 +94,36 @@ class KSegmentationSpec extends AnyFunSuite {
     }
   }
 
+  test("length-capped DP equals brute-force capped segmentation on random cost matrices") {
+    val rnd = new Random(29)
+    for (trial <- 1 to 40) {
+      // gapped candidate positions, so the cap is measured in positions, not indices
+      val positions = (0 until 14).filter(_ => rnd.nextDouble() < 0.7).toVector match {
+        case ps if ps.size >= 2 => ps
+        case _                  => Vector(0, 13)
+      }
+      val c = Array.fill(14, 14)(rnd.nextDouble())
+      val cost: (Int, Int) => Double = (i, j) => c(i)(j)
+      val cap = 1 + rnd.nextInt(8)
+      val kMax = positions.size - 1
+      val res = KSegmentation.dp(cost, positions, kMax, maxSegLen = Some(cap))
+      for (k <- 1 to kMax) {
+        val capped = positions.slice(1, positions.size - 1).combinations(k - 1)
+          .map(cs => (positions.head +: cs) :+ positions.last)
+          .filter(_.sliding(2).forall(w => w(1) - w(0) <= cap))
+          .map(_.sliding(2).foldLeft(0.0)((s, w) => s + cost(w(0), w(1))))
+          .toSeq
+        if (capped.isEmpty) assert(res.curve(k - 1).isInfinity, s"trial $trial k=$k")
+        else {
+          assert(math.abs(res.curve(k - 1) - capped.min) < 1e-12, s"trial $trial k=$k")
+          val scheme = res.schemes(k - 1).get
+          assert(scheme.segments.forall(_.length <= cap), s"trial $trial k=$k exceeds the cap")
+          assert(math.abs(scheme.segments.map(s => cost(s.i, s.j)).sum - res.curve(k - 1)) < 1e-12)
+        }
+      }
+    }
+  }
+
   test("candidate-position restriction constrains the cuts (sketch phase II)") {
     val rnd = new Random(23)
     val cube = randomCube(rnd, n = 12)
