@@ -35,8 +35,7 @@ object Jobs {
     val t0 = System.nanoTime()
     val built = ExplanationCube.build(df, "t", attrs, "m", maxOrder = cfg.maxOrder)
     // the relation's time column is the day index; re-attach the date labels
-    val cube = new ExplCube(built.attrs, sim.cube.times, built.total, built.expls,
-      built.expls.indices.map(i => built.series(i)).toArray)
+    val cube = new ExplCube(built.attrs, sim.cube.times, built.total, built.expls, built.series)
     val buildMs = (System.nanoTime() - t0) / 1e6
     println(f"[${sim.name}] relation rows=${df.count()} cube ε=${cube.epsilon} built in $buildMs%.0f ms")
     val res = TSExplain.explain(cube, cfg)

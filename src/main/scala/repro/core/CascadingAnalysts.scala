@@ -203,9 +203,6 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
       best,
     )
   }
-
-  /** Presentation form of [[topIds]]. */
-  def topExpl(segment: Segment): TopExpl = CascadingAnalysts.pretty(cube, topIds(segment))
 }
 
 object CascadingAnalysts {

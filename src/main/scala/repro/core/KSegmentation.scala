@@ -112,12 +112,7 @@ object KSegmentation {
     * +∞ / None when no k-segmentation satisfies the max-segment-length
     * constraint (e.g. K = 1 during sketch phase I).
     */
-  final case class DPResult(curve: Vector[Double], schemes: Vector[Option[SegScheme]]) {
-    def forK(k: Int): (SegScheme, Double) = (schemes(k - 1).get, curve(k - 1))
-    /** The feasible prefix-free sub-curve as (k, variance) pairs. */
-    def feasible: Vector[(Int, Double)] =
-      curve.zipWithIndex.collect { case (v, i) if v.isFinite => (i + 1, v) }
-  }
+  final case class DPResult(curve: Vector[Double], schemes: Vector[Option[SegScheme]])
 
   def dp(
       cost: (Int, Int) => Double,

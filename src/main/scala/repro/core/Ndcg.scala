@@ -31,7 +31,7 @@ object VarianceMetric {
 final class Ndcg(cube: ExplCube) {
 
   private val invLog: Array[Double] =
-    Array.tabulate(64)(r => 1.0 / (math.log(r + 2.0) / math.log(2.0)))
+    Array.tabulate(Ndcg.MaxRank)(r => 1.0 / (math.log(r + 2.0) / math.log(2.0)))
 
   /** DCG of a segment's own list — rectification is trivially satisfied. */
   def dcgSelf(target: Segment, own: TopIds): Double = {
@@ -77,4 +77,9 @@ final class Ndcg(cube: ExplCube) {
 
   def dist2(obj: Segment, objTop: TopIds, centroidTop: TopIds): Double =
     1.0 - ndcg(obj, objTop, centroidTop)
+}
+
+object Ndcg {
+  /** Longest top list the rank discount table covers, so the largest m. */
+  val MaxRank: Int = 64
 }

@@ -12,6 +12,11 @@ final case class TSConfig(
     sketch: Boolean = false,
     smoothWindow: Option[Int] = None,
 ) {
+  require(m >= 1 && m <= Ndcg.MaxRank, s"m must be in [1, ${Ndcg.MaxRank}], got $m")
+  require(kMax >= 1, s"kMax must be at least 1, got $kMax")
+  filterRatio.foreach(r => require(r >= 0 && r < 1, s"filterRatio must be in [0, 1), got $r"))
+  smoothWindow.foreach(w => require(w >= 1, s"smoothWindow must be at least 1, got $w"))
+
   def withAllOpts: TSConfig = copy(guessVerify = true, sketch = true)
 }
 
@@ -31,27 +36,37 @@ object TSExplain {
       explanation: Explanation,
       timings: Timings,
       cube: ExplCube,
-      costs: SegmentCosts,
       candidates: Vector[Int],
   )
 
-  def explain(cube0: ExplCube, cfg: TSConfig): Result = {
+  /** The per-segment top-list source of the configuration on `cube`: O1
+    * guess-and-verify when `cfg.guessVerify`, plain Cascading Analysts
+    * otherwise. Not thread-safe, like the solvers behind it.
+    */
+  def solver(cube: ExplCube, cfg: TSConfig): Segment => TopIds =
+    if (cfg.guessVerify) new GuessVerify(cube, cfg.m, cfg.maxOrder).topIds
+    else new CascadingAnalysts(cube, cfg.m, cfg.maxOrder).topIds
+
+  /** Run the pipeline on `cube0`. `tops` is the only stage that varies
+    * between backends: it is called once, on the smoothed and filtered cube,
+    * and must return each segment's top-m list as [[solver]] would. Its
+    * answers are memoized per segment; the time spent building and calling
+    * it is reported as CA time.
+    */
+  def explain(
+      cube0: ExplCube,
+      cfg: TSConfig,
+      tops: (ExplCube, TSConfig) => Segment => TopIds = solver,
+  ): Result = {
+    requireFinite(cube0)
     val t0 = System.nanoTime()
     var cube = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
     cube = cfg.filterRatio.fold(cube)(cube.filtered)
-    val precomputeMs = (System.nanoTime() - t0) / 1e6
+    val t1 = System.nanoTime()
+    val precomputeMs = (t1 - t0) / 1e6
 
-    // Per-segment top-explanation provider with caching; CA time is
-    // accumulated across all (lazy) invocations for the Fig. 15 breakdown.
-    var caNanos = 0L
-    val solver: Segment => TopIds =
-      if (cfg.guessVerify) {
-        val gv = new GuessVerify(cube, cfg.m, cfg.maxOrder)
-        gv.topIds _
-      } else {
-        val ca = new CascadingAnalysts(cube, cfg.m, cfg.maxOrder)
-        ca.topIds _
-      }
+    val source = tops(cube, cfg)
+    var caNanos = System.nanoTime() - t1
     val topCache = new java.util.HashMap[Long, TopIds]()
     val topFn: Segment => TopIds = { seg =>
       val key = (seg.i.toLong << 32) | seg.j.toLong
@@ -59,7 +74,7 @@ object TSExplain {
       if (hit != null) hit
       else {
         val s = System.nanoTime()
-        val r = solver(seg)
+        val r = source(seg)
         caNanos += System.nanoTime() - s
         topCache.put(key, r)
         r
@@ -67,7 +82,6 @@ object TSExplain {
     }
 
     val costs = new SegmentCosts(cube, cfg.metric, topFn)
-    val t1 = System.nanoTime()
     val candidates: Vector[Int] =
       if (cfg.sketch) Sketch.select(costs) else (0 until cube.n).toVector
     val kCap = math.min(cfg.kMax, candidates.size - 1)
@@ -84,20 +98,22 @@ object TSExplain {
       Explanation(scheme, curve(k - 1), perSegment, curve.zipWithIndex.map { case (v, i) => (i + 1, v) }),
       Timings(precomputeMs, caMs, ksegMs),
       cube,
-      costs,
       candidates,
     )
   }
 
-  /** Render an explanation as the paper's per-segment table (Tables 3-5). */
-  def render(cube: ExplCube, e: Explanation): String = {
-    val sb = new StringBuilder
-    sb ++= f"K=${e.scheme.k} totalVariance=${e.totalVariance}%.4f\n"
-    sb ++= "Segment | Top-1 Expl | Top-2 Expl | Top-3 Expl\n"
-    for ((seg, top) <- e.perSegment) {
-      val cells = top.ranked.map(r => s"${r.expl} ${if (r.tau >= 0) "+" else "-"}")
-      sb ++= s"${cube.times(seg.i)} ~ ${cube.times(seg.j)} | ${cells.padTo(3, "—").mkString(" | ")}\n"
+  /** NaN or ±∞ in a measure would poison every γ and cost downstream. */
+  private def requireFinite(cube: ExplCube): Unit = {
+    def finite(s: Array[Double]): Boolean = {
+      var t = 0
+      while (t < s.length && java.lang.Double.isFinite(s(t))) t += 1
+      t == s.length
     }
-    sb.result()
+    require(finite(cube.total), "total series holds a NaN or infinite value")
+    var id = 0
+    while (id < cube.epsilon) {
+      require(finite(cube.series(id)), s"series of ${cube.expls(id)} holds a NaN or infinite value")
+      id += 1
+    }
   }
 }

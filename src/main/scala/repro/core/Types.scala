@@ -59,9 +59,7 @@ final case class RankedExpl(expl: Expl, gamma: Double, tau: Int)
   * (Definition 3.5); `best(q)` is the optimal at-most-q total score, a side
   * product of the CA dynamic program needed by the Eq. 12 certificate.
   */
-final case class TopExpl(ranked: Vector[RankedExpl], best: Vector[Double]) {
-  def totalScore: Double = ranked.iterator.map(_.gamma).sum
-}
+final case class TopExpl(ranked: Vector[RankedExpl], best: Vector[Double])
 
 /** Compact, id-based top-m list used on the hot path (Ndcg / K-Segmentation):
   * `ids` are cube explanation ids ranked by γ descending; `gammas`/`taus` are

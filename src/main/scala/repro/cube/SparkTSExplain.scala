@@ -8,8 +8,8 @@ import repro.core._
   * Two distributed paths:
   *   1. [[topIdsPerSegment]] fans the O(n²) per-segment Cascading Analysts
   *      stage (the pipeline bottleneck, §5.2) out over executors with the
-  *      explanation cube broadcast once; the sequential K-Segmentation DP
-  *      then runs on the driver over the collected top lists.
+  *      explanation cube broadcast once; [[source]] hands the collected top
+  *      lists to [[TSExplain.explain]], which runs the rest on the driver.
   *   2. [[explainGrouped]] treats the whole pipeline as a custom
   *      dynamic-programming function applied per *grouped time series*
   *      (`groupByKey(seriesId).mapGroups`), so a fleet of independent series
@@ -26,15 +26,11 @@ object SparkTSExplain {
   ): Map[(Int, Int), TopIds] = {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(cube)
-    val m = cfg.m; val maxOrder = cfg.maxOrder; val gv = cfg.guessVerify
     spark
       .createDataset(segments.map(s => (s.i, s.j)))
       .repartition(math.max(1, math.min(64, segments.size / 64)))
       .mapPartitions { it =>
-        val c = bc.value
-        val solver: Segment => TopIds =
-          if (gv) new GuessVerify(c, m, maxOrder).topIds _
-          else new CascadingAnalysts(c, m, maxOrder).topIds _
+        val solver = TSExplain.solver(bc.value, cfg)
         it.map { case (i, j) =>
           val t = solver(Segment(i, j))
           (i, j, t.ids, t.gammas, t.taus, t.best)
@@ -45,31 +41,14 @@ object SparkTSExplain {
       .toMap
   }
 
-  /** Full explain with the CA stage distributed (no-sketch configurations):
-    * precompute all unit + candidate-segment top lists on executors, then run
-    * SegmentCosts + DP + elbow on the driver. Result is identical to the
-    * driver-only [[TSExplain.explain]] — tests assert the parity.
+  /** [[topIdsPerSegment]] over every segment of the cube, as a top-list
+    * source for [[TSExplain.explain]]: the driver then runs the rest of the
+    * pipeline, O2 included, on the collected lists.
     */
-  def explainDistributed(spark: SparkSession, cube0: ExplCube, cfg: TSConfig): Explanation = {
-    require(!cfg.sketch, "distributed path covers non-sketch configs; use TSExplain.explain for O2")
-    var cube = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
-    cube = cfg.filterRatio.fold(cube)(cube.filtered)
-    val n = cube.n
-    val segments =
-      (for { i <- 0 until n; j <- i + 1 until n } yield Segment(i, j)).toVector
+  def source(spark: SparkSession): (ExplCube, TSConfig) => Segment => TopIds = { (cube, cfg) =>
+    val segments = for { i <- 0 until cube.n; j <- i + 1 until cube.n } yield Segment(i, j)
     val tops = topIdsPerSegment(spark, cube, segments, cfg)
-    val topFn: Segment => TopIds = s => tops((s.i, s.j))
-    val costs = new SegmentCosts(cube, cfg.metric, topFn)
-    val kCap = math.min(cfg.kMax, n - 1)
-    val dpRes = KSegmentation.dp(costs.cost, (0 until n).toVector, kCap)
-    val k = cfg.fixedK.map(k0 => math.max(1, math.min(k0, kCap))).getOrElse(Elbow.select(dpRes.curve))
-    val scheme = dpRes.schemes(k - 1).get
-    Explanation(
-      scheme,
-      dpRes.curve(k - 1),
-      scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, topFn(s))),
-      dpRes.curve.zipWithIndex.map { case (v, i) => (i + 1, v) },
-    )
+    s => tops((s.i, s.j))
   }
 
   /** One row of a many-series relation: (seriesId, timeIndex, category, m). */

@@ -92,17 +92,4 @@ class SynthDataSpec extends SparkSpec {
       "SELECT t, category, SUM(CAST(m AS DOUBLE)) AS s FROM r GROUP BY t, category",
       "r" -> df)
   }
-
-  test("zipf keys are skewed toward low ranks") {
-    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).collect()(0)
-    assert(top.getLong(0) <= 3, s"most frequent key should be a low rank, got ${top.getLong(0)}")
-  }
-
-  test("uniform keys cover the key space roughly evenly") {
-    val df = SynthData.uniformKeys(spark, rows = 20000, nKeys = 10)
-    val counts = df.groupBy("k").count().collect().map(_.getLong(1))
-    assert(counts.length == 10)
-    assert(counts.max < counts.min * 2L)
-  }
 }

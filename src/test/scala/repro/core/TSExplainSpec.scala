@@ -103,16 +103,70 @@ class TSExplainSpec extends AnyFunSuite {
     assert(res.explanation.scheme.k == math.min(20, ds.cube.n - 1))
   }
 
-  test("render produces one row per segment") {
-    val ds = SyntheticGen.generate(n = 40, snrDb = 40, seed = 16)
-    val res = TSExplain.explain(ds.cube, TSConfig(fixedK = Some(3)))
-    val text = TSExplain.render(res.cube, res.explanation)
-    assert(text.linesIterator.size == 2 + res.explanation.scheme.k)
-  }
-
   test("distributed-style segment count: candidates default to every position") {
     val ds = SyntheticGen.generate(n = 30, snrDb = 40, seed = 17)
     val res = TSExplain.explain(ds.cube, TSConfig(fixedK = Some(2)))
     assert(res.candidates == (0 until 30).toVector)
+  }
+
+  test("passing TSExplain.solver as the top-list source equals the default") {
+    val ds = SyntheticGen.generate(n = 40, snrDb = 40, seed = 18)
+    for (cfg <- Seq(TSConfig(), TSConfig(fixedK = Some(3)).withAllOpts)) {
+      val default = TSExplain.explain(ds.cube, cfg)
+      val explicit = TSExplain.explain(ds.cube, cfg, TSExplain.solver)
+      assert(explicit.explanation == default.explanation, s"$cfg")
+      assert(explicit.candidates == default.candidates, s"$cfg")
+    }
+  }
+
+  test("the top-list source is built once, on the smoothed and filtered cube") {
+    val ds = SyntheticGen.generate(n = 40, snrDb = 40, seed = 19)
+    val cfg = TSConfig(smoothWindow = Some(3), filterRatio = Some(0.001), fixedK = Some(2))
+    val seen = scala.collection.mutable.ArrayBuffer.empty[ExplCube]
+    val res = TSExplain.explain(ds.cube, cfg, (c, cf) => { seen += c; TSExplain.solver(c, cf) })
+    assert(seen.size == 1)
+    assert(seen.head eq res.cube)
+    assert(res.cube.total.toSeq == ds.cube.smoothed(3).total.toSeq)
+  }
+
+  private def rejects(field: String)(cfg: => TSConfig): Unit = {
+    val e = intercept[IllegalArgumentException](cfg)
+    assert(e.getMessage.contains(field), e.getMessage)
+  }
+
+  test("TSConfig rejects m outside [1, 64] naming the field") {
+    rejects("m must")(TSConfig(m = 0))
+    rejects("m must")(TSConfig(m = 65))
+    assert(TSConfig(m = 64).m == 64)
+  }
+
+  test("TSConfig rejects kMax < 1 naming the field") {
+    rejects("kMax")(TSConfig(kMax = 0))
+  }
+
+  test("TSConfig rejects filterRatio outside [0, 1) naming the field") {
+    rejects("filterRatio")(TSConfig(filterRatio = Some(-0.1)))
+    rejects("filterRatio")(TSConfig(filterRatio = Some(1.0)))
+    rejects("filterRatio")(TSConfig(filterRatio = Some(Double.NaN)))
+    assert(TSConfig(filterRatio = Some(0.0)).filterRatio.contains(0.0))
+  }
+
+  test("TSConfig rejects smoothWindow < 1 naming the field") {
+    rejects("smoothWindow")(TSConfig(smoothWindow = Some(0)))
+  }
+
+  test("explain rejects NaN or infinite measures in the input cube") {
+    val ds = SyntheticGen.generate(n = 20, snrDb = 40, seed = 20)
+    def poisoned(total: Boolean, v: Double): ExplCube = {
+      val c = ds.cube
+      val t = c.total.clone(); val s = c.series.map(_.clone())
+      if (total) t(7) = v else s(1)(7) = v
+      new ExplCube(c.attrs, c.times, t, c.expls, s)
+    }
+    for (total <- Seq(true, false); v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](TSExplain.explain(poisoned(total, v), TSConfig(fixedK = Some(2))))
+      assert(e.getMessage.contains("NaN or infinite"), e.getMessage)
+      if (!total) assert(e.getMessage.contains(ds.cube.expls(1).toString), e.getMessage)
+    }
   }
 }

@@ -28,28 +28,19 @@ class SparkTSExplainSpec extends SparkSpec {
       assert(math.abs(dist((seg.i, seg.j)).best(3) - ca.topIds(seg).best(3)) < 1e-9)
   }
 
-  test("explainDistributed equals the driver-only pipeline (fixed K)") {
-    val cfg = TSConfig(fixedK = Some(ds.k))
-    val a = SparkTSExplain.explainDistributed(spark, ds.cube, cfg)
-    val b = TSExplain.explain(ds.cube, cfg).explanation
-    assert(a.scheme == b.scheme)
-    assert(math.abs(a.totalVariance - b.totalVariance) < 1e-9)
-    assert(a.kVarianceCurve.map(_._2).zip(b.kVarianceCurve.map(_._2))
-      .forall { case (x, y) => math.abs(x - y) < 1e-9 })
-  }
-
-  test("explainDistributed equals the driver-only pipeline (elbow K)") {
-    val cfg = TSConfig(kMax = 10)
-    val a = SparkTSExplain.explainDistributed(spark, ds.cube, cfg)
-    val b = TSExplain.explain(ds.cube, cfg).explanation
-    assert(a.scheme == b.scheme)
-  }
-
-  test("explainDistributed rejects sketch configs (driver-only optimization)") {
-    intercept[IllegalArgumentException] {
-      SparkTSExplain.explainDistributed(spark, ds.cube, TSConfig(sketch = true))
+  for ((name, cfg) <- Seq(
+    "Vanilla" -> TSConfig(),
+    "elbow K" -> TSConfig(kMax = 10),
+    "fixed K" -> TSConfig(fixedK = Some(ds.k)),
+    "O2" -> TSConfig(sketch = true),
+    "O1+O2" -> TSConfig().withAllOpts,
+  ))
+    test(s"Spark top-list source equals the driver run ($name)") {
+      val a = TSExplain.explain(ds.cube, cfg, SparkTSExplain.source(spark))
+      val b = TSExplain.explain(ds.cube, cfg)
+      assert(a.explanation == b.explanation)
+      assert(a.candidates == b.candidates)
     }
-  }
 
   test("explainGrouped runs the full DP per grouped series and matches driver results") {
     import spark.implicits._
